@@ -1,31 +1,29 @@
 #include "core/filter_impl.h"
 
 #include <algorithm>
-#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "canonical/min_dfs.h"
 #include "core/partition.h"
-#include "core/query_fragments.h"
 #include "core/selectivity.h"
+#include "core/verifier.h"
 #include "graph/io.h"
-#include "util/parallel.h"
-#include "util/timer.h"
+#include "util/logging.h"
 
 namespace pis::internal {
 
 namespace {
 
 /// Looks the query up in the batch enumeration cache. On a hit, copies the
-/// memoized fragment list into `result` (the copy happens outside the
+/// memoized fragment list into `fragments` (the copy happens outside the
 /// cache lock — only the shared_ptr is fetched under it) and returns true.
 /// On a miss, leaves the composite cache key in `key` so the caller can
 /// insert its enumeration; an unkeyable query (MinDfsCode rejects it, e.g.
 /// disconnected) leaves `key` empty and the caller skips the insert too.
 bool LookUpEnumCache(QueryEnumCache* cache, const Graph& query,
-                     FilterResult* result, std::string* key) {
+                     std::vector<QueryFragment>* fragments, std::string* key) {
   CanonicalOptions canon_opts;
   canon_opts.use_labels = true;
   canon_opts.first_embedding_only = true;
@@ -42,37 +40,105 @@ bool LookUpEnumCache(QueryEnumCache* cache, const Graph& query,
     if (it != cache->by_key.end()) cached = it->second;
   }
   if (cached == nullptr) return false;
-  result->fragments = *cached;
-  result->stats.enum_cache_hits = 1;
+  *fragments = *cached;
   return true;
 }
 
-}  // namespace
-
-Status MinDistancePerGraph(const FragmentIndex& index,
+/// Runs one fragment's range query against one shard and folds the
+/// per-graph minimum distance into `out`, keyed by global id (Algorithm 2
+/// lines 10-16).
+Status MinDistancePerGraph(const RangeQueryShard& shard,
                            const PreparedFragment& fragment, double sigma,
-                           std::unordered_map<int, double>* out) {
-  out->clear();
-  return index.RangeQuery(fragment, sigma, [&](int gid, double d) {
+                           FragmentDists* out) {
+  return shard.index->RangeQuery(fragment, sigma, [&](int local, double d) {
+    const int gid =
+        shard.global_ids != nullptr ? (*shard.global_ids)[local] : local;
     auto [it, inserted] = out->try_emplace(gid, d);
     if (!inserted && d < it->second) it->second = d;
   });
 }
 
-Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
-                        const PisOptions& options,
-                        const FragmentDistFn& fragment_dists,
-                        const SketchPruneFn& sketch_prune,
-                        FilterResult* resultp) {
+}  // namespace
+
+Result<std::vector<QueryFragment>> EnumerateQueryFragments(
+    const FragmentIndex& catalog, const Graph& query,
+    const PisOptions& options, QueryEnumCache* enum_cache, QueryStats* stats) {
+  if (query.Empty()) {
+    return Status::InvalidArgument("query graph is empty");
+  }
+  Timer timer;
+  std::vector<QueryFragment> fragments;
+  std::string cache_key;
+  if (enum_cache != nullptr &&
+      LookUpEnumCache(enum_cache, query, &fragments, &cache_key)) {
+    stats->enum_cache_hits = 1;
+  } else {
+    PIS_ASSIGN_OR_RETURN(fragments,
+                         EnumerateIndexedQueryFragments(
+                             catalog, query, options.max_query_fragments));
+    if (enum_cache != nullptr && !cache_key.empty()) {
+      auto shared =
+          std::make_shared<const std::vector<QueryFragment>>(fragments);
+      MutexLock lock(&enum_cache->mu);
+      // First writer wins on a race; both enumerated the same thing.
+      enum_cache->by_key.emplace(std::move(cache_key), std::move(shared));
+    }
+  }
+  stats->enumerate_seconds = timer.Seconds();
+  return fragments;
+}
+
+Status RangeQueryFragments(std::span<const RangeQueryShard> shards,
+                           const std::vector<QueryFragment>& fragments,
+                           double sigma, int num_threads,
+                           std::vector<FragmentDists>* dists,
+                           QueryStats* stats, TraceContext* trace) {
+  Timer timer;
+  // A sequential sweep folds every shard straight into `dists`; a parallel
+  // one gives each shard its own maps, unioned once all shards are done.
+  const bool parallel = num_threads > 1 && shards.size() > 1;
+  dists->assign(fragments.size(), {});
+  std::vector<std::vector<FragmentDists>> per_shard(parallel ? shards.size()
+                                                             : 0);
+  std::vector<Status> failures(shards.size());
+  ParallelFor(shards.size(), num_threads, [&](size_t s) {
+    ScopedSpan span(trace,
+                    "range_queries:shard" + std::to_string(shards[s].id));
+    std::vector<FragmentDists>& out = parallel ? per_shard[s] : *dists;
+    out.resize(fragments.size());
+    for (size_t fi = 0; fi < fragments.size(); ++fi) {
+      failures[s] = MinDistancePerGraph(shards[s], fragments[fi].prepared,
+                                        sigma, &out[fi]);
+      if (!failures[s].ok()) return;
+    }
+  });
+  for (const Status& failure : failures) PIS_RETURN_NOT_OK(failure);
+  for (std::vector<FragmentDists>& shard_dists : per_shard) {
+    for (size_t fi = 0; fi < fragments.size(); ++fi) {
+      (*dists)[fi].insert(shard_dists[fi].begin(), shard_dists[fi].end());
+      shard_dists[fi] = {};
+    }
+  }
+  stats->range_queries += fragments.size() * shards.size();
+  stats->pass1_seconds += timer.Seconds();
+  return Status::OK();
+}
+
+Status RunPisFilter(int db_size, const std::unordered_set<int>* tombstones,
+                    const PisOptions& options,
+                    std::vector<FragmentDists> dists, FilterResult* resultp) {
   FilterResult& result = *resultp;
+  PIS_CHECK(dists.size() == result.fragments.size());
   const double sigma = options.sigma;
   result.stats.fragments_enumerated = result.fragments.size();
+  // One stopwatch lapped at every stage boundary, so the stage timings
+  // tile this call with no gap.
+  Timer stage;
 
-  // Pass 1 (Algorithm 2 lines 6-18): one range query per fragment; keep CQ
-  // and the selectivity. The per-graph maps of fragments that survive the
-  // ε-filter (line 5) are retained for pass 2 — the partition can only draw
-  // from kept fragments, so their range queries never re-run. Maps of
-  // dropped fragments are discarded to bound memory by `fragments_kept`.
+  // Pass 1 (Algorithm 2 lines 5-18): the ε-filter keeps selective
+  // fragments (their maps stay in `dists` for pass 2 — the partition can
+  // only draw from kept fragments) and CQ <- CQ ∩ T per fragment. Maps of
+  // dropped fragments are released as soon as they are consumed.
   // Tombstoned slots start dead: they must not surface as candidates even
   // when the query enumerates no fragments (no pruning), and the
   // selectivity denominator below is the count of *live* graphs — both
@@ -89,34 +155,11 @@ Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
   }
   const int live_size = static_cast<int>(alive_count);
 
-  // Superimposed-sketch prefilter: discard graphs whose bit codes are
-  // missing an enumerated class. Placed after live_size is fixed (the
-  // selectivity denominator must count every live graph) and before pass 1.
-  // A sketch-failed graph lacks at least one enumerated class's fragments,
-  // so that class's range-query result cannot contain it and the pass-1
-  // intersection would kill it regardless — pruning here changes no result
-  // field and no shared counter, it only skips dead per-graph work.
-  if (options.sketch_enabled && sketch_prune != nullptr &&
-      !result.fragments.empty()) {
-    Timer sketch_timer;
-    sketch_prune(result.fragments, &alive, &alive_count, &result.stats);
-    result.stats.sketch_seconds = sketch_timer.Seconds();
-  }
-  // Sketch survivors at this point; everything pass 1 eliminates below was
-  // a false drop of the superimposed code (it passed the probe yet could
-  // not survive the exact intersection).
-  const size_t sketch_survivors =
-      result.stats.sketch_checks > 0 ? alive_count : 0;
-
-  Timer pass1_timer;
   std::vector<double> selectivities(result.fragments.size(), 0.0);
   std::vector<int> kept;  // positions into result.fragments
-  std::unordered_map<int, std::unordered_map<int, double>> kept_dists;
-  std::unordered_map<int, double> dist;
   std::vector<double> found;
   for (size_t fi = 0; fi < result.fragments.size(); ++fi) {
-    dist.clear();
-    PIS_RETURN_NOT_OK(fragment_dists(fi, sigma, &dist, &result.stats));
+    const FragmentDists& dist = dists[fi];
     found.clear();
     found.reserve(dist.size());
     for (const auto& [gid, d] : dist) found.push_back(d);
@@ -136,20 +179,16 @@ Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
     }
     if (selectivities[fi] > options.epsilon) {
       kept.push_back(static_cast<int>(fi));
-      kept_dists.emplace(static_cast<int>(fi), std::move(dist));
-      dist = {};
+    } else {
+      dists[fi] = {};
     }
   }
   result.stats.candidates_after_intersection = alive_count;
   result.stats.fragments_kept = kept.size();
-  result.stats.pass1_seconds = pass1_timer.Seconds();
-  if (sketch_survivors > alive_count) {
-    result.stats.sketch_false_drops = sketch_survivors - alive_count;
-  }
   result.selectivities = std::move(selectivities);
+  result.stats.pass1_seconds += stage.Lap();
 
   // Overlapping-relation graph and the partition (lines 19-20).
-  Timer partition_timer;
   std::vector<WeightedFragment> weighted;
   weighted.reserve(kept.size());
   for (int fi : kept) {
@@ -165,14 +204,13 @@ Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
   for (int pi : partition_local) result.partition.push_back(kept[pi]);
   result.stats.partition_size = result.partition.size();
   result.stats.partition_weight = overlap.TotalWeight(partition_local);
-  result.stats.partition_seconds = partition_timer.Seconds();
+  result.stats.partition_seconds += stage.Lap();
 
   // Pass 2 (lines 21-23): prune by the summed lower bound over the
-  // partition, replaying the cached pass-1 results.
-  Timer pass2_timer;
+  // partition, replaying the kept pass-1 maps.
   std::vector<double> lower_bound(db_size, 0.0);
   for (int fi : result.partition) {
-    const std::unordered_map<int, double>& part_dist = kept_dists.at(fi);
+    const FragmentDists& part_dist = dists[fi];
     for (int gid = 0; gid < db_size; ++gid) {
       if (!alive[gid]) continue;
       auto it = part_dist.find(gid);
@@ -196,106 +234,68 @@ Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
     if (alive[gid]) result.candidates.push_back(gid);
   }
   result.stats.candidates_final = result.candidates.size();
-  result.stats.pass2_seconds = pass2_timer.Seconds();
+  result.stats.pass2_seconds += stage.Lap();
   return Status::OK();
 }
 
-Result<FilterResult> RunPisFilter(const FragmentIndex& enum_index, int db_size,
-                                  const std::unordered_set<int>* tombstones,
-                                  const PisOptions& options, const Graph& query,
-                                  const FragmentQueryFn& query_fn,
-                                  QueryEnumCache* enum_cache,
-                                  const SketchProbeFactory& sketch_factory) {
-  if (query.Empty()) {
-    return Status::InvalidArgument("query graph is empty");
-  }
+Result<FilterResult> FilterLocal(const LocalIndexView& view,
+                                 const PisOptions& options, const Graph& query,
+                                 QueryEnumCache* enum_cache) {
   Timer timer;
   FilterResult result;
-
-  std::string cache_key;
-  const bool cached = enum_cache != nullptr &&
-                      LookUpEnumCache(enum_cache, query, &result, &cache_key);
-  if (!cached) {
-    PIS_ASSIGN_OR_RETURN(
-        result.fragments,
-        EnumerateIndexedQueryFragments(enum_index, query,
-                                       options.max_query_fragments));
-    if (enum_cache != nullptr && !cache_key.empty()) {
-      auto shared = std::make_shared<const std::vector<QueryFragment>>(
-          result.fragments);
-      MutexLock lock(&enum_cache->mu);
-      // First writer wins on a race; both enumerated the same thing.
-      enum_cache->by_key.emplace(std::move(cache_key), std::move(shared));
-    }
-  }
-
-  auto fragment_dists = [&](size_t fi, double sigma,
-                            std::unordered_map<int, double>* dist,
-                            QueryStats* stats) -> Status {
-    return query_fn(result.fragments[fi].prepared, sigma, dist, stats);
-  };
-  SketchPruneFn sketch_prune;
-  if (sketch_factory != nullptr) {
-    sketch_prune = [&sketch_factory, db_size](
-                       const std::vector<QueryFragment>& fragments,
-                       std::vector<char>* alive, size_t* alive_count,
-                       QueryStats* stats) {
-      std::vector<int> class_ids;
-      class_ids.reserve(fragments.size());
-      for (const QueryFragment& qf : fragments) {
-        class_ids.push_back(qf.prepared.class_id);
-      }
-      std::sort(class_ids.begin(), class_ids.end());
-      class_ids.erase(std::unique(class_ids.begin(), class_ids.end()),
-                      class_ids.end());
-      SketchProbe probe = sketch_factory(class_ids);
-      if (probe == nullptr) return;
-      for (int gid = 0; gid < db_size; ++gid) {
-        if (!(*alive)[gid]) continue;
-        ++stats->sketch_checks;
-        if (!probe(gid)) {
-          (*alive)[gid] = 0;
-          --(*alive_count);
-          ++stats->sketch_pruned;
-        }
-      }
-    };
-  }
-  PIS_RETURN_NOT_OK(RunPisFilterCore(db_size, tombstones, options,
-                                     fragment_dists, sketch_prune, &result));
+  PIS_ASSIGN_OR_RETURN(
+      result.fragments,
+      EnumerateQueryFragments(*view.shards.front().index, query, options,
+                              enum_cache, &result.stats));
+  std::vector<FragmentDists> dists;
+  PIS_RETURN_NOT_OK(RangeQueryFragments(view.shards, result.fragments,
+                                        options.sigma, options.shard_threads,
+                                        &dists, &result.stats));
+  PIS_RETURN_NOT_OK(RunPisFilter(view.db->size(), view.tombstones, options,
+                                 std::move(dists), &result));
   result.stats.filter_seconds = timer.Seconds();
   return result;
 }
 
-BatchSearchResult RunSearchBatch(
-    size_t num_queries, int num_threads,
-    const std::function<Result<SearchResult>(size_t)>& run_query) {
-  Timer timer;
-  BatchSearchResult batch;
-  batch.results.assign(num_queries,
-                       Result<SearchResult>(Status::Internal("query not run")));
-  ParallelFor(num_queries, num_threads, [&](size_t qi) {
-    // ParallelFor requires that exceptions never escape the body; Search is
-    // Status-based, so anything thrown below it is a defect we surface as a
-    // per-query internal error rather than a process abort.
-    try {
-      batch.results[qi] = run_query(qi);
-    } catch (const std::exception& e) {
-      batch.results[qi] = Status::Internal(std::string("uncaught: ") + e.what());
-    } catch (...) {
-      batch.results[qi] = Status::Internal("uncaught non-standard exception");
-    }
-  });
-  for (const Result<SearchResult>& r : batch.results) {
-    if (r.ok()) {
-      ++batch.succeeded;
-      batch.total_stats.Accumulate(r.value().stats);
-    } else {
-      ++batch.failed;
-    }
+Result<SearchResult> SearchLocal(const LocalIndexView& view,
+                                 const PisOptions& options, const Graph& query,
+                                 QueryEnumCache* enum_cache) {
+  PIS_ASSIGN_OR_RETURN(FilterResult filtered,
+                       FilterLocal(view, options, query, enum_cache));
+  SearchResult result;
+  result.candidates = std::move(filtered.candidates);
+  result.stats = filtered.stats;
+  VerifyResult verified =
+      VerifyCandidates(*view.db, query, result.candidates, *view.spec,
+                       options.sigma, options.verify_threads);
+  result.answers = std::move(verified.answers);
+  result.stats.answers = result.answers.size();
+  result.stats.verify_seconds = verified.seconds;
+  return result;
+}
+
+BatchSearchResult SearchBatchLocal(const LocalIndexView& view,
+                                   const PisOptions& options,
+                                   std::span<const Graph> queries,
+                                   int num_threads) {
+  if (num_threads <= 0) num_threads = HardwareThreads();
+  // With multiple batch workers, per-query verification and shard fan-out
+  // run sequentially: nesting them under the batch fan-out would multiply
+  // the thread counts and oversubscribe the machine. The clamp keys on the
+  // effective worker count (ParallelFor caps workers at the batch size), so
+  // a narrow batch keeps its inner parallelism.
+  PisOptions per_query = options;
+  if (std::min(static_cast<size_t>(num_threads), queries.size()) > 1) {
+    per_query.verify_threads = 1;
+    per_query.shard_threads = 1;
   }
-  batch.wall_seconds = timer.Seconds();
-  return batch;
+  // One enumeration memo per batch: duplicate queries reuse the first
+  // duplicate's fragment list instead of re-enumerating (results are
+  // identical; only work and stats.enum_cache_hits change).
+  QueryEnumCache enum_cache;
+  return RunSearchBatch(queries.size(), num_threads, [&](size_t qi) {
+    return SearchLocal(view, per_query, queries[qi], &enum_cache);
+  });
 }
 
 }  // namespace pis::internal

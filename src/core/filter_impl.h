@@ -1,17 +1,30 @@
-// Shared implementation core of the PIS filtering phase (Algorithm 2) and
-// the batched-search driver, parameterized over how one fragment's range
-// query is answered. PisEngine plugs in a single monolithic index;
-// ShardedPisEngine fans the query across per-shard indexes and merges. Both
-// engines therefore run byte-identical filtering logic — the equivalence
-// guarantee of the sharded engine falls out by construction.
+// Shared implementation of the PIS filtering phase (Algorithm 2) and the
+// search drivers built on it. Algorithm 2 is one straight line, and this
+// header is its three steps as plain functions of data:
+//
+//   EnumerateQueryFragments : the query's indexed fragments (lines 3-4);
+//   RangeQueryFragments     : one range query per fragment over a set of
+//                             shards, merged to per-fragment global-id
+//                             minimum-distance maps (lines 10-16);
+//   RunPisFilter            : the ε-filter and intersection, the partition
+//                             and pass 2, over those maps (lines 5-23).
+//
+// PisEngine (one shard, identity ids) and ShardedPisEngine (S shards) run
+// all three in-process through FilterLocal/SearchLocal/SearchBatchLocal;
+// a shard server runs the first two over its requested shards
+// (server/shard_ops.h); the cluster router unions the shard servers' maps
+// and runs RunPisFilter on them. Every deployment therefore filters with
+// byte-identical logic, so the engines' equivalence falls out by
+// construction.
 //
 // Internal header: not exported through pis.h.
 #ifndef PIS_CORE_FILTER_IMPL_H_
 #define PIS_CORE_FILTER_IMPL_H_
 
 #include <cstddef>
-#include <functional>
+#include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -21,9 +34,12 @@
 #include "core/pis.h"
 #include "core/query_fragments.h"
 #include "index/fragment_index.h"
+#include "obs/trace.h"
 #include "util/mutex.h"
+#include "util/parallel.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/timer.h"
 
 namespace pis::internal {
 
@@ -47,114 +63,132 @@ struct QueryEnumCache {
       by_key PIS_GUARDED_BY(mu);
 };
 
-/// Answers one fragment's range query: fills `min_dist` with the per-graph
-/// minimum distance over all matches within `sigma` (Eq. 3), keyed by
-/// global graph id, and adds the number of physical index queries issued to
-/// `stats->range_queries`. `min_dist` arrives empty.
-using FragmentQueryFn = std::function<Status(
-    const PreparedFragment& fragment, double sigma,
-    std::unordered_map<int, double>* min_dist, QueryStats* stats)>;
+/// One fragment's range-query result: global graph id -> minimum distance
+/// over all of the graph's matches within sigma (Eq. 3).
+using FragmentDists = std::unordered_map<int, double>;
 
-/// Runs one range query against a single index and aggregates the per-graph
-/// minimum distance (Algorithm 2 lines 10-16). The building block of every
-/// FragmentQueryFn.
-Status MinDistancePerGraph(const FragmentIndex& index,
-                           const PreparedFragment& fragment, double sigma,
-                           std::unordered_map<int, double>* out);
+/// One index a range-query sweep covers.
+struct RangeQueryShard {
+  const FragmentIndex* index = nullptr;
+  /// Local -> global graph ids; null for a flat index, whose ids are global.
+  const std::vector<int>* global_ids = nullptr;
+  /// Shard number, naming the shard's trace span.
+  int id = 0;
+};
 
-/// Superimposed-sketch probe: true unless graph `gid` provably lacks a
-/// fragment in some enumerated class (see index/graph_sketch.h). A false
-/// return licenses pruning before any range query runs — soundness is the
-/// probe's contract.
-using SketchProbe = std::function<bool(int gid)>;
-/// Builds the probe for one query from its enumerated classes' superimposed
-/// mask. Engines bind their index's sketch here (per-shard rows for the
-/// sharded engine); returning a null probe skips the prefilter for this
-/// query (e.g. a shard without a sketch).
-using SketchProbeFactory =
-    std::function<SketchProbe(const std::vector<int>& class_ids)>;
+/// Enumerates the query's indexed fragments against `catalog` (for a
+/// sharded index any shard works: classes are registered from the feature
+/// set alone, so every shard carries the same catalog). Rejects an empty
+/// query. `enum_cache` (nullable) memoizes the enumeration across the
+/// queries of one batch: a duplicate query reuses the first duplicate's
+/// fragment list (stats->enum_cache_hits = 1). Results are identical either
+/// way; unkeyable queries (disconnected) simply bypass the cache. Sets
+/// stats->enumerate_seconds.
+Result<std::vector<QueryFragment>> EnumerateQueryFragments(
+    const FragmentIndex& catalog, const Graph& query,
+    const PisOptions& options, QueryEnumCache* enum_cache, QueryStats* stats);
 
-/// Answers the range query of the fragment at `fragment_pos` (a position
-/// into the pre-enumerated fragment list) during a RunPisFilterCore run.
-/// Engines wrap their FragmentQueryFn over the prepared fragment; the
-/// cluster router instead moves in per-shard maps merged from remote shard
-/// servers. `min_dist` arrives empty, keyed by global graph id on return.
-using FragmentDistFn =
-    std::function<Status(size_t fragment_pos, double sigma,
-                         std::unordered_map<int, double>* min_dist,
-                         QueryStats* stats)>;
+/// The range-query step: for every fragment, the per-graph minimum distance
+/// over every shard in `shards`, keyed by global id. Shards are swept one
+/// by one (each shard runs all fragments; `num_threads` fans the shards
+/// out). Shards own disjoint id ranges, so merging them is a plain union
+/// and any thread schedule yields identical maps.
+/// Tombstoned graphs never appear (FragmentIndex::RangeQuery excludes
+/// them). Adds fragments × shards to stats->range_queries and the step's
+/// wall time to stats->pass1_seconds. With `trace`, records one
+/// `range_queries:shard<id>` span per shard.
+Status RangeQueryFragments(std::span<const RangeQueryShard> shards,
+                           const std::vector<QueryFragment>& fragments,
+                           double sigma, int num_threads,
+                           std::vector<FragmentDists>* dists,
+                           QueryStats* stats, TraceContext* trace = nullptr);
 
-/// Applies the superimposed-sketch prefilter during a RunPisFilterCore run:
-/// clears alive[] slots whose graphs provably lack an enumerated class,
-/// decrementing `alive_count` and recording stats->sketch_checks /
-/// sketch_pruned. Invoked only under options.sketch_enabled with a
-/// non-empty fragment list, after the live selectivity denominator is fixed
-/// and before pass 1 — exactly the window where pruning is free of result
-/// drift.
-using SketchPruneFn = std::function<void(
-    const std::vector<QueryFragment>& fragments, std::vector<char>* alive,
-    size_t* alive_count, QueryStats* stats)>;
-
-/// The post-enumeration core of Algorithm 2: pass-1 ε-filter +
-/// intersection, overlap-graph partition, and pass-2 summed-lower-bound
-/// pruning, over `result->fragments` which must already hold the enumerated
-/// query fragments (RunPisFilter fills them locally; the cluster router
-/// receives them from a shard server, which enumerated against the
-/// identical frozen catalog). Fills every stats counter except
-/// enum_cache_hits and the timing fields. Factoring the core out of
-/// enumeration is what lets the distributed router run byte-identical
-/// global filtering — selectivity denominators, partition choice, pass-2
-/// bounds — over range-query maps merged across the socket boundary.
-Status RunPisFilterCore(int db_size, const std::unordered_set<int>* tombstones,
-                        const PisOptions& options,
-                        const FragmentDistFn& fragment_dists,
-                        const SketchPruneFn& sketch_prune,
-                        FilterResult* result);
-
-/// Algorithm 2 over `db_size` graph-id slots. `enum_index` supplies the
-/// class catalog for query-fragment enumeration (for a sharded index any
-/// shard works: classes are registered from the feature set alone, so every
-/// shard carries the same catalog). Range-query results for fragments
-/// surviving the ε-filter are cached and reused for the partition in pass 2
-/// — the partition is a subset of the kept fragments, so pass 2 issues no
-/// range queries; memory is bounded by `fragments_kept` maps.
+/// Algorithm 2 after the range queries, over `db_size` graph-id slots:
+/// pass-1 ε-filter + intersection, overlap-graph partition, and pass-2
+/// summed-lower-bound pruning. `result->fragments` holds the enumerated
+/// fragments and `dists[i]` fragment i's map; the partition draws from the
+/// kept fragments, so pass 2 replays their maps and issues no range query.
+/// The router calls this on maps merged across the socket boundary, which
+/// is what makes distributed filtering byte-identical to the in-process
+/// engines — selectivity denominators, partition choice, pass-2 bounds.
 ///
 /// `tombstones` (nullable) holds removed graph ids: they start dead — never
 /// candidates even when no query fragment prunes anything — and the
 /// selectivity denominator is the live count, so an incrementally mutated
 /// index filters exactly like one rebuilt from scratch over the live
-/// graphs. `query_fn` must already exclude tombstoned ids from its results
-/// (FragmentIndex::RangeQuery does).
-///
-/// `enum_cache` (nullable) memoizes the fragment enumeration across the
-/// queries of one batch: a duplicate query reuses the first duplicate's
-/// fragment list (stats.enum_cache_hits = 1) instead of re-enumerating and
-/// re-preparing every connected edge subset. Results are identical either
-/// way; unkeyable queries (disconnected) simply bypass the cache.
-///
-/// `sketch_factory` (nullable; consulted only under options.sketch_enabled)
-/// supplies the superimposed-sketch probe. Sketch-failed graphs are pruned
-/// AFTER the live count (selectivity denominator) is fixed and BEFORE pass
-/// 1 — every range query still runs, and each pruned graph would have died
-/// in the pass-1 intersection anyway (it lacks a fragment in some
-/// enumerated class, so that class's result set cannot contain it), so
-/// every result field and shared counter is identical to a sketch-off run;
-/// only stats.sketch_checks/sketch_pruned record the prefilter's work.
-Result<FilterResult> RunPisFilter(const FragmentIndex& enum_index, int db_size,
-                                  const std::unordered_set<int>* tombstones,
-                                  const PisOptions& options, const Graph& query,
-                                  const FragmentQueryFn& query_fn,
-                                  QueryEnumCache* enum_cache = nullptr,
-                                  const SketchProbeFactory& sketch_factory = {});
+/// graphs. Fills every counter except range_queries and enum_cache_hits,
+/// and adds the stage timings (pass1_seconds accumulates onto the range-
+/// query step's share).
+Status RunPisFilter(int db_size, const std::unordered_set<int>* tombstones,
+                    const PisOptions& options,
+                    std::vector<FragmentDists> dists, FilterResult* result);
 
-/// The SearchBatch driver: fans `run_query` over 0..num_queries-1 with
+/// What an in-process engine searches: its database, the shards its range
+/// queries sweep (a flat index is one shard with identity ids), and the
+/// global dead set. The first shard doubles as the enumeration catalog.
+struct LocalIndexView {
+  const GraphDatabase* db = nullptr;
+  std::vector<RangeQueryShard> shards;
+  const std::unordered_set<int>* tombstones = nullptr;
+  const DistanceSpec* spec = nullptr;
+};
+
+/// Enumerate, range-query and filter in-process. filter_seconds is the
+/// wall time of the three; enumerate_seconds, pass1_seconds,
+/// partition_seconds and pass2_seconds tile it back to back.
+Result<FilterResult> FilterLocal(const LocalIndexView& view,
+                                 const PisOptions& options, const Graph& query,
+                                 QueryEnumCache* enum_cache);
+
+/// FilterLocal plus verification: the exact SSSD answer set.
+Result<SearchResult> SearchLocal(const LocalIndexView& view,
+                                 const PisOptions& options, const Graph& query,
+                                 QueryEnumCache* enum_cache);
+
+/// SearchLocal over a batch, sharing one enumeration cache. When more than
+/// one batch worker actually runs, per-query verification and shard
+/// fan-out are clamped to one thread each so the fan-outs don't multiply
+/// into oversubscription; this never changes results, only scheduling.
+BatchSearchResult SearchBatchLocal(const LocalIndexView& view,
+                                   const PisOptions& options,
+                                   std::span<const Graph> queries,
+                                   int num_threads);
+
+/// The SearchBatch driver: fans `run_query(i)` over 0..num_queries-1 with
 /// ParallelFor, isolates per-query exceptions as Internal errors, and
 /// aggregates stats over the successful queries. The caller resolves
-/// `num_threads` (> 0) and applies any verify-thread clamping before
-/// constructing `run_query`.
-BatchSearchResult RunSearchBatch(
-    size_t num_queries, int num_threads,
-    const std::function<Result<SearchResult>(size_t)>& run_query);
+/// `num_threads` (> 0) and applies any thread clamping first.
+template <typename RunQuery>
+BatchSearchResult RunSearchBatch(size_t num_queries, int num_threads,
+                                 const RunQuery& run_query) {
+  Timer timer;
+  BatchSearchResult batch;
+  batch.results.assign(num_queries,
+                       Result<SearchResult>(Status::Internal("query not run")));
+  ParallelFor(num_queries, num_threads, [&](size_t qi) {
+    // ParallelFor requires that exceptions never escape the body; Search is
+    // Status-based, so anything thrown below it is a defect we surface as a
+    // per-query internal error rather than a process abort.
+    try {
+      batch.results[qi] = run_query(qi);
+    } catch (const std::exception& e) {
+      batch.results[qi] =
+          Status::Internal(std::string("uncaught: ") + e.what());
+    } catch (...) {
+      batch.results[qi] = Status::Internal("uncaught non-standard exception");
+    }
+  });
+  for (const Result<SearchResult>& r : batch.results) {
+    if (r.ok()) {
+      ++batch.succeeded;
+      batch.total_stats.Accumulate(r.value().stats);
+    } else {
+      ++batch.failed;
+    }
+  }
+  batch.wall_seconds = timer.Seconds();
+  return batch;
+}
 
 }  // namespace pis::internal
 

@@ -18,7 +18,7 @@
 namespace pis {
 
 namespace internal {
-struct QueryEnumCache;  // batch-scoped enumeration memo (core/filter_impl.h)
+struct LocalIndexView;  // what the shared search body runs over (filter_impl.h)
 }  // namespace internal
 
 /// Output of the filtering phase (Algorithm 2) — everything the benchmark
@@ -76,14 +76,9 @@ class PisEngine {
   const PisOptions& options() const { return options_; }
 
  private:
-  /// Filter/Search with an optional batch-scoped enumeration cache:
-  /// duplicate queries in one SearchBatch skip re-enumerating their
-  /// fragments (stats.enum_cache_hits reports reuse). Results are
-  /// identical with or without the cache.
-  Result<FilterResult> FilterImpl(const Graph& query,
-                                  internal::QueryEnumCache* enum_cache) const;
-  Result<SearchResult> SearchImpl(const Graph& query,
-                                  internal::QueryEnumCache* enum_cache) const;
+  /// The engine as data for the shared filter/search body: one shard whose
+  /// ids are already global.
+  internal::LocalIndexView View() const;
 
   const GraphDatabase* db_;
   const FragmentIndex* index_;

@@ -1,13 +1,7 @@
 #include "core/sharded_pis.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <vector>
-
 #include "core/filter_impl.h"
-#include "core/verifier.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace pis {
 
@@ -20,110 +14,30 @@ ShardedPisEngine::ShardedPisEngine(const GraphDatabase* db,
       << "sharded index was built over a different database";
 }
 
-Result<FilterResult> ShardedPisEngine::Filter(const Graph& query) const {
-  return FilterImpl(query, nullptr);
+internal::LocalIndexView ShardedPisEngine::View() const {
+  // Per-shard range queries already exclude per-shard tombstones; the
+  // global set seeds the dead slots for the no-pruning path and the live
+  // selectivity denominator (it also covers compacted-away ids).
+  internal::LocalIndexView view{db_, {}, &index_->tombstones(),
+                                &index_->options().spec};
+  view.shards.reserve(index_->num_shards());
+  for (int s = 0; s < index_->num_shards(); ++s) {
+    view.shards.push_back({&index_->shard(s), &index_->global_ids(s), s});
+  }
+  return view;
 }
 
-Result<FilterResult> ShardedPisEngine::FilterImpl(
-    const Graph& query, internal::QueryEnumCache* enum_cache) const {
-  const int num_shards = index_->num_shards();
-  // One fragment's range query = one physical query per shard, merged back
-  // to global ids. Shards own disjoint id ranges, so the merge is a plain
-  // union; per-shard maps land in fixed slots, keeping any thread schedule
-  // deterministic.
-  auto query_fn = [&](const PreparedFragment& fragment, double sigma,
-                      std::unordered_map<int, double>* min_dist,
-                      QueryStats* stats) -> Status {
-    std::vector<std::unordered_map<int, double>> local(num_shards);
-    std::vector<Status> failures(num_shards);
-    ParallelFor(num_shards, options_.shard_threads, [&](size_t s) {
-      failures[s] = internal::MinDistancePerGraph(index_->shard(s), fragment,
-                                                  sigma, &local[s]);
-    });
-    stats->range_queries += num_shards;
-    for (int s = 0; s < num_shards; ++s) {
-      PIS_RETURN_NOT_OK(failures[s]);
-      for (const auto& [local_gid, d] : local[s]) {
-        min_dist->emplace(index_->global_id(s, local_gid), d);
-      }
-    }
-    return Status::OK();
-  };
-  // The sketch probe routes each global id to its shard's sketch row. Class
-  // ids are shard-independent (every shard registers the identical
-  // feature-derived catalog), but the masks are built per shard anyway in
-  // case shards were built with different sketch shapes.
-  auto sketch_factory =
-      [this, num_shards](
-          const std::vector<int>& class_ids) -> internal::SketchProbe {
-    struct ShardMask {
-      const GraphSketch* sketch;
-      std::vector<uint64_t> mask;
-    };
-    auto masks = std::make_shared<std::vector<ShardMask>>();
-    masks->reserve(num_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      const GraphSketch& sketch = index_->shard(s).sketch();
-      masks->push_back({&sketch, sketch.MakeMask(class_ids)});
-    }
-    return [this, masks](int gid) {
-      const int s = index_->shard_of(gid);
-      // Compacted-away ids are resident nowhere; they are already dead in
-      // the filter's alive[] and never probed, but stay permissive.
-      if (s < 0) return true;
-      const ShardMask& sm = (*masks)[s];
-      return sm.sketch->MightContainAll(index_->local_id(gid), sm.mask);
-    };
-  };
-  // Any shard serves as the enumeration catalog (identical classes); use
-  // shard 0. Per-shard range queries already exclude per-shard tombstones;
-  // the global set seeds the dead slots for the no-pruning path and the
-  // live selectivity denominator.
-  return internal::RunPisFilter(index_->shard(0), db_->size(),
-                                &index_->tombstones(), options_, query,
-                                query_fn, enum_cache, sketch_factory);
+Result<FilterResult> ShardedPisEngine::Filter(const Graph& query) const {
+  return internal::FilterLocal(View(), options_, query, nullptr);
 }
 
 Result<SearchResult> ShardedPisEngine::Search(const Graph& query) const {
-  return SearchImpl(query, nullptr);
-}
-
-Result<SearchResult> ShardedPisEngine::SearchImpl(
-    const Graph& query, internal::QueryEnumCache* enum_cache) const {
-  PIS_ASSIGN_OR_RETURN(FilterResult filtered, FilterImpl(query, enum_cache));
-  SearchResult result;
-  result.candidates = std::move(filtered.candidates);
-  result.stats = filtered.stats;
-  VerifyResult verified =
-      VerifyCandidates(*db_, query, result.candidates, index_->options().spec,
-                       options_.sigma, options_.verify_threads);
-  result.answers = std::move(verified.answers);
-  result.stats.answers = result.answers.size();
-  result.stats.verify_seconds = verified.seconds;
-  return result;
+  return internal::SearchLocal(View(), options_, query, nullptr);
 }
 
 BatchSearchResult ShardedPisEngine::SearchBatch(std::span<const Graph> queries,
                                                 int num_threads) const {
-  if (num_threads <= 0) num_threads = HardwareThreads();
-  // Same anti-oversubscription clamp as PisEngine::SearchBatch, extended to
-  // the per-query shard fan-out: with multiple batch workers both inner
-  // fan-outs run sequentially. Never changes results, only scheduling.
-  const size_t workers =
-      std::min(static_cast<size_t>(num_threads), queries.size());
-  const ShardedPisEngine* engine = this;
-  ShardedPisEngine flat(db_, index_, options_);
-  if (workers > 1 &&
-      (options_.verify_threads > 1 || options_.shard_threads > 1)) {
-    flat.options_.verify_threads = 1;
-    flat.options_.shard_threads = 1;
-    engine = &flat;
-  }
-  // One enumeration memo per batch (see PisEngine::SearchBatch).
-  internal::QueryEnumCache enum_cache;
-  return internal::RunSearchBatch(
-      queries.size(), num_threads,
-      [&](size_t qi) { return engine->SearchImpl(queries[qi], &enum_cache); });
+  return internal::SearchBatchLocal(View(), options_, queries, num_threads);
 }
 
 }  // namespace pis

@@ -45,12 +45,9 @@ class ShardedPisEngine {
   const ShardedFragmentIndex& index() const { return *index_; }
 
  private:
-  /// Filter/Search with an optional batch-scoped enumeration cache (same
-  /// contract as PisEngine::FilterImpl/SearchImpl).
-  Result<FilterResult> FilterImpl(const Graph& query,
-                                  internal::QueryEnumCache* enum_cache) const;
-  Result<SearchResult> SearchImpl(const Graph& query,
-                                  internal::QueryEnumCache* enum_cache) const;
+  /// The engine as data for the shared filter/search body (the same one
+  /// PisEngine runs): every shard with its local -> global id map.
+  internal::LocalIndexView View() const;
 
   const GraphDatabase* db_;
   const ShardedFragmentIndex* index_;

@@ -64,19 +64,11 @@ Result<FragmentIndex> FragmentIndex::Build(const GraphDatabase& db,
       options.max_fragment_edges < options.min_fragment_edges) {
     return Status::InvalidArgument("invalid fragment size bounds");
   }
-  if (!GraphSketch::ValidParams(options.sketch_bits, options.sketch_hashes)) {
-    return Status::InvalidArgument(
-        "invalid sketch parameters: bits must be a multiple of 64 in "
-        "[64, 2^20], hashes in [1, 64]");
-  }
   Timer timer;
   FragmentIndex index;
   index.options_ = options;
   index.spec_holder_ = std::make_shared<const DistanceSpec>(options.spec);
   index.db_size_ = db.size();
-  index.sketch_ =
-      std::make_unique<GraphSketch>(options.sketch_bits, options.sketch_hashes);
-  index.sketch_->AddGraphs(db.size());
   ClassBackend backend =
       options.backend.value_or(DefaultBackend(options.spec.type));
 
@@ -182,7 +174,6 @@ void FragmentIndex::ApplyExtraction(int gid,
                                     const ExtractStats& stats) {
   for (const PendingInsert& p : pending) {
     classes_[p.class_id]->Insert(p.labels, p.weights, gid);
-    sketch_->AddClass(gid, p.class_id);
   }
   stats_.num_subsets_enumerated += stats.subsets;
   stats_.num_subsets_skipped_by_signature += stats.skipped_by_signature;
@@ -203,7 +194,6 @@ Result<int> FragmentIndex::AddGraph(const Graph& g) {
   std::vector<PendingInsert> pending;
   ExtractStats stats;
   PIS_RETURN_NOT_OK(ExtractGraphFragments(g, &pending, &stats));
-  sketch_->AddGraphs(1);  // row gid, filled by ApplyExtraction
   ApplyExtraction(gid, pending, stats);
   ++db_size_;
   // Re-finalize only the classes that received postings, so postings stay
@@ -245,7 +235,6 @@ std::vector<int> FragmentIndex::Compact() {
     cls->Compact(remap);
     sequences += cls->num_fragments();
   }
-  sketch_->Compact(remap);
   db_size_ = next;
   tombstones_.clear();
   ++compaction_epoch_;
@@ -303,12 +292,38 @@ constexpr uint32_t kIndexMagic = 0x50495358;  // "PISX"
 // v1: static index. v2 appends the tombstone list (incremental RemoveGraph)
 // as a trailing section; v1 files load as tombstone-free. v3 appends the
 // compaction epoch plus the live count (cross-checked against db_size minus
-// tombstones on load); v2 files load with epoch 0. v4 appends the
-// superimposed-sketch prefilter (parameters + per-graph code words); pre-v4
-// files rebuild the sketch from class postings at load. Each version is a
-// strict prefix of the next so old fixtures stay constructible from a
-// current Save().
-constexpr uint32_t kIndexVersion = 4;
+// tombstones on load); v2 files load with epoch 0. v4 appended a per-graph
+// superimposed-code section for a query prefilter that never saved work
+// and was removed: a v4 file is a v3 file plus that trailing section, so
+// Load validates its shape and discards it, and Save writes v3. Each
+// version is a strict prefix of the next so old fixtures stay
+// constructible from a current Save().
+constexpr uint32_t kIndexWriteVersion = 3;
+constexpr uint32_t kIndexReadVersion = 4;
+
+/// Reads past the discarded v4 section: bits per graph (a multiple of 64
+/// in [64, 2^20]), hashes per class ([1, 64]), then one block of bits/64
+/// code words per graph slot.
+Status SkipV4CodeSection(BinaryReader* reader, int db_size) {
+  const int32_t bits = reader->I32();
+  const int32_t hashes = reader->I32();
+  PIS_RETURN_NOT_OK(reader->Check("header"));
+  if (bits < 64 || bits % 64 != 0 || bits > (1 << 20) || hashes < 1 ||
+      hashes > 64) {
+    return Status::ParseError("implausible parameters (" +
+                              std::to_string(bits) + " bits, " +
+                              std::to_string(hashes) + " hashes)");
+  }
+  const uint64_t num_words = reader->ReadCount(8);
+  PIS_RETURN_NOT_OK(reader->Check("word count"));
+  if (num_words != static_cast<uint64_t>(db_size) * (bits / 64)) {
+    return Status::ParseError(std::to_string(num_words) +
+                              " words do not cover " +
+                              std::to_string(db_size) + " graphs");
+  }
+  for (uint64_t i = 0; i < num_words; ++i) reader->U64();
+  return reader->Check("payload");
+}
 
 void SerializeSpec(const DistanceSpec& spec, BinaryWriter* writer) {
   writer->U8(static_cast<uint8_t>(spec.type));
@@ -335,7 +350,7 @@ Result<DistanceSpec> DeserializeSpec(BinaryReader* reader) {
 Status FragmentIndex::Save(std::ostream& out) const {
   BinaryWriter writer(out);
   writer.U32(kIndexMagic);
-  writer.U32(kIndexVersion);
+  writer.U32(kIndexWriteVersion);
   writer.I32(options_.min_fragment_edges);
   writer.I32(options_.max_fragment_edges);
   SerializeSpec(options_.spec, &writer);
@@ -369,9 +384,6 @@ Status FragmentIndex::Save(std::ostream& out) const {
   writer.VecInt(dead);
   writer.U32(compaction_epoch_);
   writer.I32(num_live());
-  // v4 trailing section: the superimposed-sketch prefilter. Words are
-  // written verbatim, so Save -> Load -> Save is byte-identical.
-  sketch_->Serialize(&writer);
   if (!writer.ok()) return Status::IOError("index write failed");
   return Status::OK();
 }
@@ -397,10 +409,11 @@ Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
     return Status::ParseError("not a PIS index file (bad magic)");
   }
   uint32_t version = reader.U32();
-  if (version < 1 || version > kIndexVersion) {
+  if (version < 1 || version > kIndexReadVersion) {
     return Status::ParseError("unsupported index version " +
                               std::to_string(version) + " (this build reads " +
-                              std::to_string(kIndexVersion) + " and older)");
+                              std::to_string(kIndexReadVersion) +
+                              " and older)");
   }
   FragmentIndex index;
   index.options_.min_fragment_edges = reader.I32();
@@ -457,40 +470,16 @@ Result<FragmentIndex> FragmentIndex::Load(std::istream& in) {
     }
   }
   if (version >= 4) {
-    // A file that declared v4 promised a sketch section; a short or
-    // mangled one is a structural disagreement with that promise (mirrors
-    // the truncated-manifest contract), not unreadable garbage.
-    Result<GraphSketch> sketch = GraphSketch::Deserialize(&reader);
-    if (!sketch.ok()) {
-      return Status::InvalidArgument("index sketch section truncated or "
-                                     "invalid: " +
-                                     sketch.status().message());
-    }
-    if (sketch.value().num_graphs() != index.db_size_) {
+    // A file that declared v4 promised the trailing sketch section; a
+    // short or mangled one is a structural disagreement with that promise
+    // (mirrors the truncated-manifest contract), not unreadable garbage.
+    if (Status skipped = SkipV4CodeSection(&reader, index.db_size_);
+        !skipped.ok()) {
       return Status::InvalidArgument(
-          "sketch covers " + std::to_string(sketch.value().num_graphs()) +
-          " graphs but the index holds " + std::to_string(index.db_size_));
+          "index sketch section truncated or invalid: " + skipped.message());
     }
-    index.options_.sketch_bits = sketch.value().bits_per_graph();
-    index.options_.sketch_hashes = sketch.value().num_hashes();
-    index.sketch_ = std::make_unique<GraphSketch>(sketch.MoveValue());
-  } else {
-    // Pre-v4 file: derive the sketch the section would have carried.
-    index.RebuildSketch();
   }
   return index;
-}
-
-void FragmentIndex::RebuildSketch() {
-  sketch_ =
-      std::make_unique<GraphSketch>(options_.sketch_bits, options_.sketch_hashes);
-  sketch_->AddGraphs(db_size_);
-  for (int class_id = 0; class_id < static_cast<int>(classes_.size());
-       ++class_id) {
-    for (int gid : classes_[class_id]->containing_graphs()) {
-      sketch_->AddClass(gid, class_id);
-    }
-  }
 }
 
 Result<FragmentIndex> FragmentIndex::LoadFile(const std::string& path) {

@@ -69,9 +69,10 @@ class ShardedFragmentIndex {
   /// Global graph id of shard `s`'s local id `local` (the inverse of the
   /// routing: shard(s) emits local ids, queries report global ids).
   int global_id(int s, int local) const { return globals_[s][local]; }
+  /// Shard `s`'s whole local -> global id map (global_id for every local).
+  const std::vector<int>& global_ids(int s) const { return globals_[s]; }
   /// Local id of global id `gid` inside its owning shard, or -1 when the
-  /// graph was compacted away (shard_of(gid) == -1). The sketch prefilter
-  /// probes per-shard rows through this.
+  /// graph was compacted away (shard_of(gid) == -1).
   int local_id(int gid) const { return local_of_[gid]; }
 
   /// Total graph-id slots ever assigned (monotone; tombstoned and

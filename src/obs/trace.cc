@@ -97,8 +97,8 @@ TraceSpan BuildFilterSpan(const QueryStats& stats, double start_ms,
     offset += span.dur_ms;
     return span;
   };
-  if (stats.sketch_checks > 0 || stats.sketch_seconds > 0) {
-    filter.children.push_back(stage("sketch", stats.sketch_seconds));
+  if (stats.enumerate_seconds > 0) {
+    filter.children.push_back(stage("enumerate", stats.enumerate_seconds));
   }
   TraceSpan pass1 = stage("pass1", stats.pass1_seconds);
   // Pass-1 wall time includes the per-fragment selectivity fits, so the

@@ -1,6 +1,6 @@
 // Per-query pipeline tracing: a TraceContext allocated at the front end
 // (pis_server / pis_router request handler) collects a tree of wall-time
-// spans — sketch probe, pass-1, selectivity, pass-2, verify, merge, WAL
+// spans — enumerate, pass-1, selectivity, pass-2, verify, merge, WAL
 // append, group-commit wait, snapshot publish — and renders it as a
 // single-line JSON document for the `"trace": true` query reply and the
 // slow-query log.
@@ -56,12 +56,14 @@ struct TraceSpan {
 };
 
 /// Synthesizes the `filter` span of a query trace from the engine's
-/// QueryStats stage timings: children `sketch` (when the probe ran) /
+/// QueryStats stage timings: children `enumerate` (when this process
+/// enumerated, i.e. enumerate_seconds > 0 — the router's stats carry 0) /
 /// `pass1` (with a nested `selectivity` child — pass-1 wall time includes
 /// the selectivity fits) / `partition` / `pass2`, laid out back to back
 /// from `start_ms`. `start_ms`/`dur_ms` are the measured bounds of the
 /// filter call in the caller's clock domain; the children are
-/// reconstructions from stage timers, not independently clocked spans.
+/// reconstructions from stage timers, which tile the in-process filter
+/// call, not independently clocked spans.
 TraceSpan BuildFilterSpan(const QueryStats& stats, double start_ms,
                           double dur_ms);
 

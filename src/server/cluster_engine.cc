@@ -391,13 +391,10 @@ Result<SearchResult> ClusterEngine::SearchInternal(const Graph& query,
                                                    TraceContext* trace) {
   Timer filter_timer;
   const StatePin pin = PinState();
-  const bool sketch = options_.options.sketch_enabled;
 
   // ---- Round 1: fan shard_query over a healthy cover, with failover ----
   std::vector<QueryFragment> fragments;
-  std::vector<std::unordered_map<int, double>> merged;
-  uint64_t sketch_checks = 0;
-  std::vector<int> sketch_pruned;
+  std::vector<internal::FragmentDists> merged;
   std::unordered_set<int> exclude;
   bool round1_done = false;
   while (!round1_done) {
@@ -422,7 +419,7 @@ Result<SearchResult> ClusterEngine::SearchInternal(const Graph& query,
     ParallelFor(groups.size(), fan, [&](size_t g) {
       const double start_ms = trace != nullptr ? trace->ElapsedMs() : 0;
       replies[g] = endpoints_[groups[g].first]->backend->ShardQuery(
-          query, groups[g].second, sigma, sketch, trace != nullptr);
+          query, groups[g].second, sigma, trace != nullptr);
       if (trace != nullptr) {
         // The replica's own stage spans (remote clock domain) graft under
         // this round-trip span; a failed attempt records with no children.
@@ -455,8 +452,6 @@ Result<SearchResult> ClusterEngine::SearchInternal(const Graph& query,
     ScopedSpan merge_span(trace, "merge");
     const auto& catalog = replies[0].value().fragments;
     merged.assign(catalog.size(), {});
-    sketch_checks = 0;
-    sketch_pruned.clear();
     for (size_t g = 0; g < groups.size(); ++g) {
       ShardQueryResult& r = replies[g].value();
       if (r.fragments.size() != catalog.size()) {
@@ -473,11 +468,8 @@ Result<SearchResult> ClusterEngine::SearchInternal(const Graph& query,
               "fragment catalogs diverge across replicas (class mismatch)");
         }
         // Shards own disjoint global-id spaces: plain union.
-        for (const auto& [gid, d] : r.dists[fi]) merged[fi].emplace(gid, d);
+        merged[fi].insert(r.dists[fi].begin(), r.dists[fi].end());
       }
-      sketch_checks += r.sketch_checks;
-      sketch_pruned.insert(sketch_pruned.end(), r.sketch_pruned.begin(),
-                           r.sketch_pruned.end());
     }
     fragments = std::move(replies[0].value().fragments);
     round1_done = true;
@@ -486,40 +478,16 @@ Result<SearchResult> ClusterEngine::SearchInternal(const Graph& query,
   // ---- Global filter: the exact Algorithm 2 core both engines share ----
   FilterResult filter;
   filter.fragments = std::move(fragments);
-  const size_t total_shards = static_cast<size_t>(num_shards());
-  internal::FragmentDistFn fragment_dists =
-      [&merged, total_shards](size_t fi, double /*sigma*/,
-                              std::unordered_map<int, double>* dist,
-                              QueryStats* stats) {
-        *dist = std::move(merged[fi]);
-        // The cover issued one physical range query per (fragment, shard),
-        // exactly like the in-process fan-out.
-        stats->range_queries += total_shards;
-        return Status::OK();
-      };
-  internal::SketchPruneFn sketch_prune;
-  if (sketch) {
-    sketch_prune = [&sketch_checks, &sketch_pruned](
-                       const std::vector<QueryFragment>& /*fragments*/,
-                       std::vector<char>* alive, size_t* alive_count,
-                       QueryStats* stats) {
-      stats->sketch_checks += sketch_checks;
-      for (int gid : sketch_pruned) {
-        if (gid >= 0 && gid < static_cast<int>(alive->size()) &&
-            (*alive)[gid]) {
-          (*alive)[gid] = 0;
-          --*alive_count;
-          ++stats->sketch_pruned;
-        }
-      }
-    };
-  }
+  // The cover issued one physical range query per (fragment, shard),
+  // exactly like the in-process sweep.
+  filter.stats.range_queries =
+      filter.fragments.size() * static_cast<size_t>(num_shards());
   PisOptions filter_options = options_.options;
   filter_options.sigma = sigma;
   const double core_start_ms = trace != nullptr ? trace->ElapsedMs() : 0;
-  PIS_RETURN_NOT_OK(internal::RunPisFilterCore(
-      pin.db_slots, &pin.tombstones, filter_options, fragment_dists,
-      sketch_prune, &filter));
+  PIS_RETURN_NOT_OK(internal::RunPisFilter(pin.db_slots, &pin.tombstones,
+                                           filter_options, std::move(merged),
+                                           &filter));
   filter.stats.filter_seconds = filter_timer.Seconds();
   if (trace != nullptr) {
     trace->Record(BuildFilterSpan(filter.stats, core_start_ms,

@@ -15,8 +15,8 @@
 //            grouped per endpoint), returning per-fragment
 //            {gid -> min distance} maps. Shards own disjoint gid spaces,
 //            so the router unions the maps positionally and then runs
-//            RunPisFilterCore — the exact post-enumeration Algorithm 2
-//            core both engines share — over the merged maps.
+//            RunPisFilter — the exact post-range-query Algorithm 2 core
+//            the in-process engines share — over the merged maps.
 //   round 2  shard_verify of the surviving candidates, grouped to the
 //            owning shard's chosen replica; answers union ascending.
 //
@@ -92,9 +92,9 @@ struct ClusterEngineOptions {
   /// Health-probe cadence (StartHealthThread); the probe also drains
   /// catch-up queues of recovered replicas.
   int health_interval_ms = 100;
-  /// Engine knobs. sigma/sketch_enabled/epsilon/partition choices must
-  /// match the shard servers' cluster config; verify_threads affects only
-  /// replica-side scheduling. shard_threads fans round-1 endpoint groups.
+  /// Engine knobs. sigma/epsilon/partition choices must match the shard
+  /// servers' cluster config; verify_threads affects only replica-side
+  /// scheduling. shard_threads fans round-1 endpoint groups.
   PisOptions options;
   /// When non-null, the engine registers fabric metrics here (breaker
   /// state/transitions, catch-up queue depth, failover counts, and each
@@ -155,11 +155,12 @@ class ClusterEngine {
       PIS_EXCLUDES(writer_mu_, state_mu_);
   /// Traced variant: with a non-null `trace`, records the two-round span
   /// tree — one `shard_query:<endpoint>` round-trip span per cover group
-  /// (remote stage spans grafted as children), `merge`, `filter` with the
-  /// shared-core stage children, and one `shard_verify:...` span per shard
-  /// with work. With shard_threads == 1 (the default) the fan-outs are
-  /// sequential, so sibling spans do not overlap and their durations sum to
-  /// at most the trace total.
+  /// (the replica's `enumerate` and range-query spans grafted as
+  /// children), `merge`, `filter` with the shared-core stage children (no
+  /// `enumerate` there: the shard servers enumerate), and one
+  /// `shard_verify:...` span per shard with work. With shard_threads == 1
+  /// (the default) the fan-outs are sequential, so sibling spans do not
+  /// overlap and their durations sum to at most the trace total.
   Result<SearchResult> Search(const Graph& query, double sigma,
                               TraceContext* trace)
       PIS_EXCLUDES(writer_mu_, state_mu_);

@@ -115,13 +115,6 @@ class EngineHost {
     uint64_t group_commit_batches = 0;
     uint64_t group_commit_ops = 0;
     uint64_t group_commit_max_batch = 0;
-    /// Superimposed-sketch prefilter counters accumulated over every query
-    /// served by this host (zero while PisOptions::sketch_enabled is off).
-    /// false_drops counts probes that passed the sketch but died in pass-1
-    /// — the live false-drop rate is false_drops / (checks - pruned).
-    uint64_t sketch_checks = 0;
-    uint64_t sketch_pruned = 0;
-    uint64_t sketch_false_drops = 0;
     std::vector<ShardInfo> shards;
 
     /// JSON shape ({"epoch":..,"shards":[{..},..],..}) — the payload of
@@ -167,10 +160,10 @@ class EngineHost {
   };
 
   /// Registers this host's metric families in `registry` and starts
-  /// recording (query stage latencies, sketch counters, group-commit and
-  /// WAL timings). Call once, BEFORE the host serves concurrent traffic —
-  /// the cached family pointers are written unsynchronized. Recording
-  /// itself is atomics-only; an un-enabled host skips it on a null check.
+  /// recording (query stage latencies, group-commit and WAL timings). Call
+  /// once, BEFORE the host serves concurrent traffic — the cached family
+  /// pointers are written unsynchronized. Recording itself is
+  /// atomics-only; an un-enabled host skips it on a null check.
   void EnableMetrics(MetricsRegistry* registry) PIS_EXCLUDES(writer_mu_);
 
   /// Makes writes durable: every subsequent AddGraph/RemoveGraph batch is
@@ -210,11 +203,11 @@ class EngineHost {
   BatchSearchResult SearchBatch(std::span<const Graph> queries,
                                 int num_threads = 0) const;
 
-  /// Folds one query's stats into the host's sketch counters and metric
-  /// families — what Search() does internally. Callers that pin their own
-  /// snapshot and run its engine directly (the servers do, to report the
-  /// queried epoch) must account explicitly or their queries are invisible
-  /// to stats/metrics. Atomics only — safe on the query path.
+  /// Folds one query's stats into the host's metric families (no-op until
+  /// EnableMetrics) — what Search() does internally. Callers that pin their
+  /// own snapshot and run its engine directly (the servers do, to report
+  /// the queried epoch) must account explicitly or their queries are
+  /// invisible to metrics. Atomics only — safe on the query path.
   void AccountQuery(const QueryStats& stats) const;
 
   /// Group-committed writers. Concurrent callers coalesce into one batch:
@@ -381,16 +374,6 @@ class EngineHost {
   std::atomic<uint64_t> group_commit_batches_{0};
   std::atomic<uint64_t> group_commit_ops_{0};
   std::atomic<uint64_t> group_commit_max_batch_{0};
-  /// Per-query sketch counters folded in by the reader API (mutable: reads
-  /// are const but still account their prefilter work).
-  mutable std::atomic<uint64_t> sketch_checks_{0};
-  mutable std::atomic<uint64_t> sketch_pruned_{0};
-  mutable std::atomic<uint64_t> sketch_false_drops_{0};
-
-  /// Accumulates one served query's stats into the cached metric families
-  /// (no-op until EnableMetrics). Atomics only — safe on the query path.
-  void RecordQueryMetrics(const QueryStats& stats) const;
-
   /// Metric family pointers, cached once by EnableMetrics (before
   /// concurrent serving — see its comment) and poked lock-free afterwards.
   struct Metrics {
@@ -398,10 +381,7 @@ class EngineHost {
     Counter* queries_total = nullptr;
     Counter* answers_total = nullptr;
     Counter* candidates_total = nullptr;
-    Counter* sketch_checks = nullptr;
-    Counter* sketch_pruned = nullptr;
-    Counter* sketch_false_drops = nullptr;
-    Histogram* stage_sketch = nullptr;
+    Histogram* stage_enumerate = nullptr;
     Histogram* stage_pass1 = nullptr;
     Histogram* stage_selectivity = nullptr;
     Histogram* stage_partition = nullptr;

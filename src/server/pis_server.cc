@@ -307,14 +307,13 @@ JsonValue PisServer::HandleShardQuery(const JsonValue& request) {
     }
     sigma = s->AsNumber();
   }
-  const bool sketch = request.GetBoolOr("sketch", false);
   std::shared_ptr<const EngineHost::Snapshot> snap = host_->snapshot();
   Status owned = CheckShardsOwned(shards, shards_owned_,
                                   snap->index->num_shards());
   if (!owned.ok()) return ErrorReply(owned);
   Result<ShardQueryResult> result =
-      RunShardQuery(*snap, shards, query.value(), sigma, sketch,
-                    host_->options(), request.GetBoolOr("trace", false));
+      RunShardQuery(*snap, shards, query.value(), sigma, host_->options(),
+                    request.GetBoolOr("trace", false));
   if (!result.ok()) return ErrorReply(result.status());
   JsonValue reply = JsonValue::Object();
   reply.Set("ok", true);

@@ -27,7 +27,7 @@
 //   {"op":"meta"}                            -> {"ok":true,"db_slots":..,
 //                                                "routing":[..],"tombstones":[..],..}
 //   {"op":"shard_query","graph":"<record>",  -> {"ok":true,"fragments":[..],
-//     "shards":[0,2],"sigma":S?,"sketch":b?}     "dists":[[[gid,d],..],..],..}
+//     "shards":[0,2],"sigma":S?}                 "dists":[[[gid,d],..],..],..}
 //   {"op":"shard_verify","graph":"<record>", -> {"ok":true,"answers":[ids]}
 //     "ids":[..],"sigma":S}
 //   {"op":"shard_add","gid":N,"shard":s,     -> {"ok":true,"epoch":E}
@@ -38,10 +38,12 @@
 // With a non-empty PisServerOptions::shards_owned, shard_query/shard_verify
 // reject shards (or candidate gids resident in shards) outside the owned
 // set — the replica serves a shard subset even though it loads the full
-// index structure. shard_add carries an explicit (gid, shard) placement
-// preassigned by the router and is idempotent, which is what makes the
-// router's catch-up replay after a lost ack safe; shard_remove likewise
-// treats an already-dead gid as success ("applied":false).
+// index structure. shard_query also rejects a shard listed twice (its
+// range queries would run twice). shard_add carries an explicit (gid,
+// shard) placement preassigned by the router and is idempotent, which is
+// what makes the router's catch-up replay after a lost ack safe;
+// shard_remove likewise treats an already-dead gid as success
+// ("applied":false).
 //
 // "<record>" is one graph in the native text format (src/graph/io.h) with
 // newlines JSON-escaped. Failures reply {"ok":false,"code":"<StatusCode>",

@@ -7,7 +7,6 @@
 
 #include "core/filter_impl.h"
 #include "core/verifier.h"
-#include "index/graph_sketch.h"
 
 namespace pis {
 
@@ -52,6 +51,14 @@ JsonValue IntArrayToJson(const std::vector<int>& values) {
 
 Status CheckShardsOwned(const std::vector<int>& requested,
                         const std::vector<int>& owned, int num_shards) {
+  std::vector<int> sorted = requested;
+  std::sort(sorted.begin(), sorted.end());
+  if (auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+      dup != sorted.end()) {
+    // A repeated shard would run its range queries twice.
+    return Status::InvalidArgument("shard " + std::to_string(*dup) +
+                                   " is requested more than once");
+  }
   for (int s : requested) {
     if (s < 0 || s >= num_shards) {
       return Status::InvalidArgument("shard " + std::to_string(s) +
@@ -70,13 +77,7 @@ Status CheckShardsOwned(const std::vector<int>& requested,
 Result<ShardQueryResult> RunShardQuery(const EngineHost::Snapshot& snap,
                                        const std::vector<int>& shards,
                                        const Graph& query, double sigma,
-                                       bool sketch, const PisOptions& options,
-                                       bool trace) {
-  if (query.Empty()) {
-    // The same rejection RunPisFilter issues, so a router fanning this out
-    // propagates an error identical to the single-process engine's.
-    return Status::InvalidArgument("query graph is empty");
-  }
+                                       const PisOptions& options, bool trace) {
   const ShardedFragmentIndex& index = *snap.index;
   ShardQueryResult result;
   result.epoch = snap.epoch;
@@ -84,60 +85,28 @@ Result<ShardQueryResult> RunShardQuery(const EngineHost::Snapshot& snap,
   // carries only the spans), so a fixed placeholder id is fine.
   TraceContext ctx("shard_query");
   TraceContext* tp = trace ? &ctx : nullptr;
-  // Any shard serves as the enumeration catalog (classes are
-  // feature-derived and identical across shards AND replicas — the frozen-
-  // catalog contract), so every replica enumerates the identical fragment
-  // list and per-fragment maps align positionally across endpoints.
+  // The same enumerate and range-query steps the in-process engines run.
+  // Any shard serves as the enumeration catalog (classes are feature-
+  // derived and identical across shards AND replicas — the frozen-catalog
+  // contract), so every replica enumerates the identical fragment list and
+  // per-fragment maps align positionally across endpoints. The empty-query
+  // rejection is the engines' too, so a router fanning this out propagates
+  // an identical error.
+  QueryStats stats;
   {
     ScopedSpan span(tp, "enumerate");
     PIS_ASSIGN_OR_RETURN(result.fragments,
-                         EnumerateIndexedQueryFragments(
-                             index.shard(0), query,
-                             options.max_query_fragments));
+                         internal::EnumerateQueryFragments(
+                             index.shard(0), query, options, nullptr, &stats));
   }
-  result.dists.resize(result.fragments.size());
-  std::unordered_map<int, double> local;
-  // Shard-outer so each requested shard's sweep is one contiguous trace
-  // span; the per-fragment maps come out identical either way (shards own
-  // disjoint gid spaces, so the merge is a plain union).
+  std::vector<internal::RangeQueryShard> sweep;
+  sweep.reserve(shards.size());
   for (int s : shards) {
-    ScopedSpan span(tp, "range_queries:shard" + std::to_string(s));
-    for (size_t fi = 0; fi < result.fragments.size(); ++fi) {
-      PIS_RETURN_NOT_OK(internal::MinDistancePerGraph(
-          index.shard(s), result.fragments[fi].prepared, sigma, &local));
-      for (const auto& [local_gid, d] : local) {
-        result.dists[fi].emplace(index.global_id(s, local_gid), d);
-      }
-    }
+    sweep.push_back({&index.shard(s), &index.global_ids(s), s});
   }
-  if (sketch && !result.fragments.empty()) {
-    ScopedSpan span(tp, "sketch_probe");
-    std::vector<int> class_ids;
-    class_ids.reserve(result.fragments.size());
-    for (const QueryFragment& qf : result.fragments) {
-      class_ids.push_back(qf.prepared.class_id);
-    }
-    std::sort(class_ids.begin(), class_ids.end());
-    class_ids.erase(std::unique(class_ids.begin(), class_ids.end()),
-                    class_ids.end());
-    // Probe every live graph resident in the requested shards. A shard
-    // cover is a partition of the live gid space, so summing the checks
-    // across a cover reproduces the single-process probe count exactly.
-    for (int s : shards) {
-      const GraphSketch& shard_sketch = index.shard(s).sketch();
-      const std::vector<uint64_t> mask = shard_sketch.MakeMask(class_ids);
-      const int resident = index.shard_size(s);
-      for (int local_gid = 0; local_gid < resident; ++local_gid) {
-        const int gid = index.global_id(s, local_gid);
-        if (!index.IsLive(gid)) continue;
-        ++result.sketch_checks;
-        if (!shard_sketch.MightContainAll(local_gid, mask)) {
-          result.sketch_pruned.push_back(gid);
-        }
-      }
-    }
-    std::sort(result.sketch_pruned.begin(), result.sketch_pruned.end());
-  }
+  PIS_RETURN_NOT_OK(internal::RangeQueryFragments(
+      sweep, result.fragments, sigma, options.shard_threads, &result.dists,
+      &stats, tp));
   if (tp != nullptr) result.spans = tp->TakeSpans();
   return result;
 }
@@ -269,8 +238,6 @@ void ShardQueryResultToJson(const ShardQueryResult& result, JsonValue* reply) {
     dists.Push(std::move(entries));
   }
   reply->Set("dists", std::move(dists));
-  reply->Set("sketch_checks", result.sketch_checks);
-  reply->Set("sketch_pruned", IntArrayToJson(result.sketch_pruned));
   // Omitted entirely when untraced, keeping untraced reply bytes identical
   // to the pre-tracing protocol.
   if (!result.spans.empty()) {
@@ -318,10 +285,6 @@ Result<ShardQueryResult> ShardQueryResultFromJson(const JsonValue& reply) {
       result.dists[fi].emplace(gid, pair.at(1).AsNumber());
     }
   }
-  result.sketch_checks =
-      static_cast<uint64_t>(reply.GetNumberOr("sketch_checks", 0));
-  PIS_ASSIGN_OR_RETURN(result.sketch_pruned,
-                       ReadIntArray(reply, "sketch_pruned"));
   if (const JsonValue* spans = reply.Find("spans"); spans != nullptr) {
     PIS_ASSIGN_OR_RETURN(result.spans, TraceSpan::ListFromJson(*spans));
   }

@@ -8,16 +8,15 @@
 // is the GLOBAL live count, the ε-filter keeps fragments globally, and the
 // partition is chosen once over the merged selectivities — running the full
 // filter per shard and unioning candidates would answer a different
-// (wrong) algorithm. So a shard server's job is exactly what
-// ShardedPisEngine's per-shard fan-out does in-process:
+// (wrong) algorithm. So a shard server runs exactly the first two steps of
+// the in-process pipeline (core/filter_impl.h) and the router the third:
 //
 //   shard_query : enumerate the query's fragments against the (identical,
 //                 frozen) class catalog, run each fragment's range query
 //                 over the requested owned shards, and return the
-//                 per-fragment {global gid -> min distance} maps — plus the
-//                 superimposed-sketch probe outcome when asked. The router
-//                 unions the maps across its shard cover (disjoint gid
-//                 spaces) and runs RunPisFilterCore globally.
+//                 per-fragment {global gid -> min distance} maps. The
+//                 router unions the maps across its shard cover (disjoint
+//                 gid spaces) and runs RunPisFilter globally.
 //   shard_verify: verify a set of global candidate ids the router already
 //                 filtered (each resident in a shard this replica owns) and
 //                 return the ids within sigma.
@@ -71,11 +70,6 @@ struct ShardQueryResult {
   /// fragments.size() maps: global gid -> min distance over the requested
   /// shards (Eq. 3 aggregation, already translated to global ids).
   std::vector<std::unordered_map<int, double>> dists;
-  /// Sketch-probe section (zero/empty unless the request asked for it):
-  /// live graphs probed in the requested shards, and the probed gids whose
-  /// blocks were missing an enumerated class's bits.
-  uint64_t sketch_checks = 0;
-  std::vector<int> sketch_pruned;
   /// Shard-side stage spans (empty unless the request set "trace": true).
   /// Offsets are relative to the replica's own handler start — the remote
   /// clock domain (obs/trace.h) — so the router grafts them under its
@@ -83,21 +77,22 @@ struct ShardQueryResult {
   std::vector<TraceSpan> spans;
 };
 
-/// InvalidArgument unless every requested shard is within range and owned
-/// (`owned` sorted; empty = the replica owns every shard).
+/// InvalidArgument unless every requested shard is within range, owned
+/// (`owned` sorted; empty = the replica owns every shard) and requested
+/// once.
 Status CheckShardsOwned(const std::vector<int>& requested,
                         const std::vector<int>& owned, int num_shards);
 
 /// Executes `shard_query` over a pinned snapshot: fragment enumeration plus
 /// one range query per (fragment, requested shard), merged to global ids.
 /// `options` supplies the engine knobs that must match the cluster config
-/// (max_query_fragments); `sigma`/`sketch`/`trace` are per-request. With
-/// `trace`, the result carries spans for the enumeration, each requested
-/// shard's range-query sweep, and the sketch probe.
+/// (max_query_fragments) and the shard fan-out (shard_threads);
+/// `sigma`/`trace` are per-request. With `trace`, the result carries spans
+/// for the enumeration and each requested shard's range-query sweep.
 Result<ShardQueryResult> RunShardQuery(const EngineHost::Snapshot& snap,
                                        const std::vector<int>& shards,
                                        const Graph& query, double sigma,
-                                       bool sketch, const PisOptions& options,
+                                       const PisOptions& options,
                                        bool trace = false);
 
 /// Executes `shard_verify`: verifies candidate ids (each live and resident

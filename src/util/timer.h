@@ -23,6 +23,15 @@ class Timer {
   }
   double Millis() const { return Seconds() * 1e3; }
 
+  /// Elapsed seconds, restarting the stopwatch at the same instant, so
+  /// consecutive laps tile the elapsed time without gaps.
+  double Lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -78,6 +78,53 @@ INSTANTIATE_TEST_SUITE_P(ShardsBySeeds, CompactionLifecycleTest,
                          ::testing::Combine(::testing::Values(1, 3, 8),
                                             ::testing::Values(0, 1)));
 
+// A second schedule over the unoffset seeds {0, 1, 2}: an add-leaning mix
+// where a remove can be followed straight away by a full compaction, and
+// persistence comes once at the end, so the round trip reloads whatever
+// fragmented state the interleaving left.
+class LifecycleInterleavingTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(LifecycleInterleavingTest, EveryStepMatchesFromScratchRebuild) {
+  LifecycleHarness::Options opt;
+  opt.num_shards = std::get<0>(GetParam());
+  opt.seed = std::get<1>(GetParam());
+  LifecycleHarness h(opt);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  h.CheckAgainstRebuild();
+  constexpr int kSteps = 12;
+  for (int step = 0; step < kSteps; ++step) {
+    const int action = h.rng().UniformInt(0, 5);
+    if (h.live_count() <= 2 || (action <= 1 && h.CanAdd())) {
+      if (h.CanAdd()) {
+        h.AddOne();
+      } else {
+        h.RemoveOne();
+      }
+    } else if (action == 2) {
+      h.RemoveOne();
+    } else if (action == 3) {
+      h.CompactAll();
+    } else if (action == 4) {
+      h.Rebalance();
+    } else {
+      h.RemoveOne();
+      if (!::testing::Test::HasFatalFailure()) h.CompactAll();
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    h.CheckAgainstRebuild();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  h.SaveLoadRoundTrip("interleaving");
+  if (::testing::Test::HasFatalFailure()) return;
+  h.CheckAgainstRebuild();
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardsBySeeds, LifecycleInterleavingTest,
+                         ::testing::Combine(::testing::Values(1, 3, 8),
+                                            ::testing::Values(0, 1, 2)));
+
 // Directed (non-random) properties of the new subsystem that the
 // differential schedule only hits probabilistically.
 

@@ -3,14 +3,15 @@
 // v2 (explicit routing table); the compaction PR bumped both to v3 (index:
 // compaction epoch + live count trailer; manifest: epoch, -1-aware routing,
 // explicit local ids, per-shard live counts); the serving PR bumped the
-// manifest to v4 (trailing auto-compaction policy); the sketch-prefilter
-// PR bumped the index to v4 (trailing superimposed-sketch section, rebuilt
-// from class postings when absent). Old fixtures must still load
-// — including v2 files carrying tombstones, which must then compact
-// correctly — files from the future must fail with a clear Status instead
-// of garbage, and a manifest that disagrees with the files on disk (or is
-// truncated mid-section) must come back as InvalidArgument — never a crash
-// or DCHECK.
+// manifest to v4 (trailing auto-compaction policy). Index v4 appended a
+// superimposed-sketch section for a query prefilter that has since been
+// removed: v4 files still load (the section is validated and discarded)
+// and Save writes v3. Old fixtures must still load — including v2 files
+// carrying tombstones, which must then compact correctly — files from the
+// future must fail with a clear Status instead of garbage, and a file that
+// disagrees with what it declares (a manifest that disagrees with the
+// files on disk, a section cut off midway) must come back as
+// InvalidArgument — never a crash or DCHECK.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,27 +42,35 @@ void PatchU32(std::string* bytes, size_t offset, uint32_t value) {
 }
 
 // Every index version is a strict prefix of the next, with only the
-// version word rewound — Save() keeps the newer sections trailing exactly
-// so these fixtures stay constructible. A v3 file is a v4 file minus the
-// trailing sketch section; a v2 file additionally drops the 8-byte
-// epoch+live trailer; a v1 file additionally drops the 8-byte empty
-// tombstone section. If this breaks after a format change, keep the new
-// section trailing or bump the version with its own compat fixture.
-
-// Size of the v4 sketch section a current Save() appends: bits (4) +
-// hashes (4) + word count (8) + db_size * words_per_graph code words.
-size_t SketchSectionBytes(const FragmentIndex& index) {
-  return 16 + static_cast<size_t>(index.db_size()) *
-                  static_cast<size_t>(index.sketch().words_per_graph()) * 8;
-}
+// version word rewound. Save() writes v3; a v4 file is a v3 file plus the
+// trailing sketch section; a v2 file drops the 8-byte epoch+live trailer;
+// a v1 file additionally drops the 8-byte empty tombstone section. If this
+// breaks after a format change, keep the new section trailing or bump the
+// version with its own compat fixture.
 
 std::string MakeV3IndexBytes(const FragmentIndex& index) {
   std::stringstream out;
   EXPECT_TRUE(index.Save(out).ok());
+  return out.str();
+}
+
+// A v4 file as the sketch-writing builds laid it out: the v3 bytes, the
+// version word set to 4, then the section — bits per graph (4) + hashes
+// per class (4) + word count (8) + bits/64 code words per graph slot.
+std::string MakeV4IndexBytes(const FragmentIndex& index) {
+  constexpr int32_t kBits = 128;
+  constexpr int32_t kHashes = 4;
+  std::stringstream out;
+  EXPECT_TRUE(index.Save(out).ok());
+  BinaryWriter writer(out);
+  writer.I32(kBits);
+  writer.I32(kHashes);
+  const uint64_t words = static_cast<uint64_t>(index.db_size()) * (kBits / 64);
+  writer.U64(words);
+  for (uint64_t i = 0; i < words; ++i) writer.U64(0x9e3779b97f4a7c15ULL * i);
+  EXPECT_TRUE(writer.ok());
   std::string bytes = out.str();
-  EXPECT_GT(bytes.size(), SketchSectionBytes(index));
-  bytes.resize(bytes.size() - SketchSectionBytes(index));
-  PatchU32(&bytes, 4, 3);
+  PatchU32(&bytes, 4, 4);
   return bytes;
 }
 
@@ -184,36 +193,23 @@ TEST(FormatCompatTest, FragmentIndexV3BadLiveCountRejected) {
   EXPECT_NE(loaded.status().message().find("live count"), std::string::npos);
 }
 
-// A pre-v4 file carries no sketch section; Load must rebuild the sketch
-// from class postings, bit-for-bit identical to the incrementally
-// maintained one — proven by the resaved sketch section matching the
-// original Save() byte-for-byte, and by sketch-enabled queries answering
-// identically to the original index.
-TEST(FormatCompatTest, PreV4LoadRebuildsSketchBitIdentically) {
+// A v4 file loads with its sketch section discarded: the reloaded index
+// answers queries identically to the original and re-saves as exactly the
+// original's v3 bytes.
+TEST(FormatCompatTest, FragmentIndexV4FixtureLoadsWithoutItsSketch) {
   EngineFixture fx(12, 53);
   ASSERT_TRUE(fx.index.ok());
-  std::stringstream v4;
-  ASSERT_TRUE(fx.index.value().Save(v4).ok());
-  std::stringstream in(MakeV3IndexBytes(fx.index.value()));
+  ASSERT_TRUE(fx.index.value().RemoveGraph(4).ok());
+  std::stringstream in(MakeV4IndexBytes(fx.index.value()));
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().sketch().bits_per_graph(),
-            fx.index.value().sketch().bits_per_graph());
-  EXPECT_EQ(loaded.value().sketch().num_graphs(),
-            fx.index.value().sketch().num_graphs());
-
+  EXPECT_EQ(loaded.value().tombstones().count(4), 1u);
   std::stringstream resaved;
   ASSERT_TRUE(loaded.value().Save(resaved).ok());
-  const std::string original = v4.str();
-  const std::string rebuilt = resaved.str();
-  const size_t section = SketchSectionBytes(fx.index.value());
-  ASSERT_GE(rebuilt.size(), section);
-  EXPECT_EQ(rebuilt.substr(rebuilt.size() - section),
-            original.substr(original.size() - section));
+  EXPECT_EQ(resaved.str(), MakeV3IndexBytes(fx.index.value()));
 
   PisOptions options;
   options.sigma = 2.0;
-  options.sketch_enabled = true;
   PisEngine before(&fx.db, &fx.index.value(), options);
   PisEngine after(&fx.db, &loaded.value(), options);
   for (const Graph& q : SampleQueries(fx.db, 3, 6, 29)) {
@@ -225,14 +221,18 @@ TEST(FormatCompatTest, PreV4LoadRebuildsSketchBitIdentically) {
   }
 }
 
-// v4 round trip: Save -> Load -> Save must be byte-identical — sketch code
-// words are persisted verbatim, never rehashed on load.
+// Save -> Load -> Save is byte-identical, starting from a v4 file: the
+// first save drops the sketch section, and from then on the v3 bytes are
+// a fixed point.
 TEST(FormatCompatTest, FragmentIndexV4SaveLoadSaveIsByteIdentical) {
   EngineFixture fx(10, 59);
   ASSERT_TRUE(fx.index.ok());
   ASSERT_TRUE(fx.index.value().RemoveGraph(3).ok());
+  std::stringstream v4(MakeV4IndexBytes(fx.index.value()));
+  auto from_v4 = FragmentIndex::Load(v4);
+  ASSERT_TRUE(from_v4.ok()) << from_v4.status().ToString();
   std::stringstream first;
-  ASSERT_TRUE(fx.index.value().Save(first).ok());
+  ASSERT_TRUE(from_v4.value().Save(first).ok());
   std::stringstream in(first.str());
   auto loaded = FragmentIndex::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -241,21 +241,30 @@ TEST(FormatCompatTest, FragmentIndexV4SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-// A file that declares v4 but is cut off inside the sketch section parsed
-// far enough to know what it promised: InvalidArgument naming the sketch,
-// never a crash or a silently sketchless index.
+// A file that declares v4 but is cut off inside the sketch section, or
+// whose section does not fit the index, parsed far enough to know what it
+// promised: InvalidArgument naming the sketch, never a crash or a
+// silently accepted file.
 TEST(FormatCompatTest, TruncatedV4SketchSectionIsInvalidArgument) {
   EngineFixture fx(8, 67);
   ASSERT_TRUE(fx.index.ok());
-  std::stringstream out;
-  ASSERT_TRUE(fx.index.value().Save(out).ok());
-  std::string bytes = out.str();
-  bytes.resize(bytes.size() - 8);  // lose the last code word
-  std::stringstream in(bytes);
-  auto loaded = FragmentIndex::Load(in);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("sketch"), std::string::npos);
+  const std::string v4 = MakeV4IndexBytes(fx.index.value());
+  const size_t v3_size = MakeV3IndexBytes(fx.index.value()).size();
+  std::string bad_hashes = v4;
+  PatchU32(&bad_hashes, v3_size + 4, 0);  // hashes per class must be >= 1
+  std::string short_count = v4;
+  PatchU32(&short_count, v3_size + 8, 3);  // 3 words cannot cover 8 graphs
+  for (const std::string& bytes :
+       {v4.substr(0, v4.size() - 8),  // lose the last code word
+        v4.substr(0, v3_size + 6),    // cut inside the header
+        bad_hashes, short_count}) {
+    std::stringstream in(bytes);
+    auto loaded = FragmentIndex::Load(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("sketch"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST(FormatCompatTest, FragmentIndexFutureVersionRejected) {

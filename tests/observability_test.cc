@@ -8,7 +8,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/sharded_pis.h"
 #include "core/stats.h"
+#include "engine_test_util.h"
+#include "index/sharded_index.h"
 #include "util/json.h"
 
 namespace pis {
@@ -24,7 +27,7 @@ TEST(TraceSpanTest, JsonRoundTrip) {
   child.start_ms = 1.25;
   child.dur_ms = 8;
   TraceSpan grandchild;
-  grandchild.name = "sketch_probe";
+  grandchild.name = "enumerate";
   grandchild.start_ms = 0.5;
   grandchild.dur_ms = 2;
   child.children.push_back(grandchild);
@@ -143,8 +146,7 @@ TEST(TraceContextTest, NextIdIsUnique) {
 
 TEST(BuildFilterSpanTest, ReconstructsStageChildren) {
   QueryStats stats;
-  stats.sketch_checks = 10;
-  stats.sketch_seconds = 0.001;
+  stats.enumerate_seconds = 0.001;
   stats.pass1_seconds = 0.004;
   stats.selectivity_seconds = 0.002;
   stats.partition_seconds = 0.0005;
@@ -154,11 +156,11 @@ TEST(BuildFilterSpanTest, ReconstructsStageChildren) {
   EXPECT_DOUBLE_EQ(filter.start_ms, 2.0);
   EXPECT_DOUBLE_EQ(filter.dur_ms, 7.5);
   ASSERT_EQ(filter.children.size(), 4u);
-  EXPECT_EQ(filter.children[0].name, "sketch");
+  EXPECT_EQ(filter.children[0].name, "enumerate");
   EXPECT_DOUBLE_EQ(filter.children[0].start_ms, 2.0);
   EXPECT_DOUBLE_EQ(filter.children[0].dur_ms, 1.0);
   EXPECT_EQ(filter.children[1].name, "pass1");
-  EXPECT_DOUBLE_EQ(filter.children[1].start_ms, 3.0);  // after sketch
+  EXPECT_DOUBLE_EQ(filter.children[1].start_ms, 3.0);  // after enumerate
   ASSERT_EQ(filter.children[1].children.size(), 1u);
   // Selectivity nests INSIDE pass-1 (its wall time includes the fits).
   EXPECT_EQ(filter.children[1].children[0].name, "selectivity");
@@ -170,12 +172,41 @@ TEST(BuildFilterSpanTest, ReconstructsStageChildren) {
                    filter.children[2].start_ms + filter.children[2].dur_ms);
 }
 
-TEST(BuildFilterSpanTest, OmitsSketchWhenProbeNeverRan) {
-  QueryStats stats;
-  stats.pass1_seconds = 0.001;
-  TraceSpan filter = BuildFilterSpan(stats, 0, 1.5);
-  ASSERT_EQ(filter.children.size(), 3u);
-  EXPECT_EQ(filter.children[0].name, "pass1");
+// The filter span of a real in-process search, built the way pis_server
+// traces a query: the stage children come in pipeline order, never
+// overlap, and their durations add up to the measured filter call — no
+// part of the filter (enumeration included) goes unattributed.
+TEST(BuildFilterSpanTest, InProcessStagesTileTheFilterSpan) {
+  // The stage timers are consecutive; only call and return overhead
+  // between them is untimed.
+  constexpr double kTimerResolutionMs = 0.05;
+  testing::EngineFixture fx(20, 5);
+  ASSERT_TRUE(fx.index.ok());
+  auto index = ShardedFragmentIndex::Build(fx.db, fx.features,
+                                           fx.index.value().options(), 3);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  PisOptions options;
+  options.sigma = 2.0;
+  ShardedPisEngine engine(&fx.db, &index.value(), options);
+  for (const Graph& query : testing::SampleQueries(fx.db, 3, 6, 13)) {
+    auto result = engine.Search(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const QueryStats& stats = result.value().stats;
+    TraceSpan filter = BuildFilterSpan(stats, 1.0, stats.filter_seconds * 1e3);
+    ASSERT_EQ(filter.children.size(), 4u);
+    const char* const kStages[] = {"enumerate", "pass1", "partition", "pass2"};
+    double end_ms = filter.start_ms;
+    double sum_ms = 0;
+    for (size_t i = 0; i < filter.children.size(); ++i) {
+      const TraceSpan& child = filter.children[i];
+      EXPECT_EQ(child.name, kStages[i]);
+      EXPECT_GE(child.start_ms, end_ms);
+      end_ms = child.start_ms + child.dur_ms;
+      sum_ms += child.dur_ms;
+    }
+    EXPECT_LE(sum_ms, filter.dur_ms + 1e-9);
+    EXPECT_NEAR(sum_ms, filter.dur_ms, kTimerResolutionMs);
+  }
 }
 
 TEST(SlowQueryLogTest, ThresholdGatesLogging) {

@@ -1,7 +1,8 @@
 // PisServer protocol: every op of the newline-delimited JSON protocol
 // against an in-process server on an ephemeral loopback port — replies,
 // error handling (which must keep the connection usable), mutation
-// visibility across connections, per-request sigma, and clean shutdown.
+// visibility across connections, per-request sigma, shard_query request
+// validation, and clean shutdown.
 #include "server/pis_server.h"
 
 #include <gtest/gtest.h>
@@ -200,6 +201,34 @@ TEST_F(ServerProtocolTest, ErrorsKeepTheConnectionUsable) {
   // After nine rejected requests the connection still serves.
   JsonValue health = RoundTrip(&conn, "{\"op\":\"health\"}");
   EXPECT_TRUE(health.GetBoolOr("ok", false));
+}
+
+// A shard listed twice in one shard_query is rejected: serving it would
+// run that shard's range queries twice. Distinct shards still serve on the
+// same connection.
+TEST_F(ServerProtocolTest, ShardQueryRejectsRepeatedShards) {
+  TcpSocket conn = Connect();
+  JsonValue request = JsonValue::Object();
+  request.Set("op", "shard_query");
+  request.Set("graph", FormatGraph(fx_->db.at(3), 0));
+  for (const std::vector<int>& shards :
+       {std::vector<int>{0, 0}, std::vector<int>{2, 0, 2}}) {
+    JsonValue list = JsonValue::Array();
+    for (int s : shards) list.Push(s);
+    request.Set("shards", std::move(list));
+    JsonValue reply = RoundTripJson(&conn, request);
+    EXPECT_FALSE(reply.GetBoolOr("ok", true)) << reply.Serialize();
+    EXPECT_EQ(reply.GetStringOr("code", ""), "InvalidArgument");
+    EXPECT_NE(reply.GetStringOr("error", "").find("more than once"),
+              std::string::npos)
+        << reply.Serialize();
+  }
+  JsonValue distinct = JsonValue::Array();
+  distinct.Push(0);
+  distinct.Push(2);
+  request.Set("shards", std::move(distinct));
+  JsonValue reply = RoundTripJson(&conn, request);
+  EXPECT_TRUE(reply.GetBoolOr("ok", false)) << reply.Serialize();
 }
 
 TEST_F(ServerProtocolTest, ShutdownStopsTheServerCleanly) {

@@ -5,10 +5,9 @@
 //   pis_cli build     --db db.txt --out index.bin [--max_fragment_edges K]
 //                     [--min_support F] [--gamma G] [--distance mutation|linear]
 //                     [--shards S] [--threads N]
-//                     [--sketch_bits B] [--sketch_hashes H]
 //   pis_cli stats     --index index.bin [--json]
 //   pis_cli query     --db db.txt --index index.bin --query query.txt
-//                     [--sigma S] [--engine pis|topo|naive] [--sketch]
+//                     [--sigma S] [--engine pis|topo|naive]
 //                     [--batch] [--threads N]
 //   pis_cli topk      --db db.txt --index index.bin --query query.txt [--k K]
 //   pis_cli add       --db db.txt --index index.bin --graphs new.txt
@@ -130,8 +129,6 @@ int CmdBuild(int argc, char** argv) {
   std::string distance = "mutation";
   int shards = 1;
   int threads = 1;
-  int sketch_bits = GraphSketch::kDefaultBits;
-  int sketch_hashes = GraphSketch::kDefaultHashes;
   FlagSet flags;
   flags.AddString("db", &db_path, "database path");
   flags.AddString("out", &out, "output index path");
@@ -142,10 +139,6 @@ int CmdBuild(int argc, char** argv) {
   flags.AddInt("shards", &shards,
                "shard count; > 1 writes a sharded index directory");
   flags.AddInt("threads", &threads, "index build threads (0 = all hardware)");
-  flags.AddInt("sketch_bits", &sketch_bits,
-               "sketch prefilter bits per graph (multiple of 64)");
-  flags.AddInt("sketch_hashes", &sketch_hashes,
-               "sketch prefilter hash functions per class");
   Status st = flags.Parse(argc, argv);
   if (st.code() == StatusCode::kAlreadyExists) return 0;
   if (!st.ok()) return Fail(st);
@@ -163,8 +156,6 @@ int CmdBuild(int argc, char** argv) {
   auto spec = DistanceSpecFromName(distance);
   if (!spec.ok()) return Fail(spec.status());
   options.spec = spec.value();
-  options.sketch_bits = sketch_bits;
-  options.sketch_hashes = sketch_hashes;
   if (shards > 1) {
     auto index =
         ShardedFragmentIndex::Build(db.value(), features.value(), options, shards);
@@ -220,9 +211,6 @@ int CmdStats(int argc, char** argv) {
       obj.Set("classes", idx.num_classes());
       obj.Set("compaction_epoch", idx.compaction_epoch());
       obj.Set("compact_dead_ratio", idx.compact_dead_ratio());
-      // Every shard is built with the same sketch shape; report shard 0's.
-      obj.Set("sketch_bits", idx.shard(0).sketch().bits_per_graph());
-      obj.Set("sketch_hashes", idx.shard(0).sketch().num_hashes());
       JsonValue shard_list = JsonValue::Array();
       for (int s = 0; s < idx.num_shards(); ++s) {
         const FragmentIndex& shard = idx.shard(s);
@@ -244,9 +232,6 @@ int CmdStats(int argc, char** argv) {
                 idx.db_size(), idx.num_live(), idx.tombstones().size());
     std::printf("shards: %d, classes: %d, compaction epoch: %d\n",
                 idx.num_shards(), idx.num_classes(), idx.compaction_epoch());
-    std::printf("sketch: %d bits/graph, %d hashes\n",
-                idx.shard(0).sketch().bits_per_graph(),
-                idx.shard(0).sketch().num_hashes());
     if (idx.compact_dead_ratio() > 0) {
       std::printf("auto-compaction dead ratio: %.2f\n",
                   idx.compact_dead_ratio());
@@ -279,8 +264,6 @@ int CmdStats(int argc, char** argv) {
                             : "linear");
     obj.Set("fragment_occurrences",
             static_cast<uint64_t>(idx.stats().num_fragment_occurrences));
-    obj.Set("sketch_bits", idx.sketch().bits_per_graph());
-    obj.Set("sketch_hashes", idx.sketch().num_hashes());
     std::printf("%s\n", obj.Serialize().c_str());
     return 0;
   }
@@ -295,8 +278,6 @@ int CmdStats(int argc, char** argv) {
   std::printf("fragment sizes: %d..%d edges\n", idx.options().min_fragment_edges,
               idx.options().max_fragment_edges);
   std::printf("classes: %d\n", idx.num_classes());
-  std::printf("sketch: %d bits/graph, %d hashes\n",
-              idx.sketch().bits_per_graph(), idx.sketch().num_hashes());
   std::printf("fragment occurrences: %zu\n",
               idx.stats().num_fragment_occurrences);
   std::printf("sequences: %zu\n", idx.stats().num_sequences_inserted);
@@ -360,7 +341,6 @@ int CmdQuery(int argc, char** argv) {
   double sigma = 2;
   std::string engine = "pis";
   bool batch = false;
-  bool sketch = false;
   int threads = 0;
   FlagSet flags;
   flags.AddString("db", &db_path, "database path");
@@ -368,9 +348,6 @@ int CmdQuery(int argc, char** argv) {
   flags.AddString("query", &query_path, "query graph file (one record)");
   flags.AddDouble("sigma", &sigma, "max superimposed distance");
   flags.AddString("engine", &engine, "pis | topo | naive");
-  flags.AddBool("sketch", &sketch,
-                "enable the superimposed-sketch prefilter (pis engine; "
-                "results are identical, only filter work changes)");
   flags.AddBool("batch", &batch, "treat --query as a multi-record batch");
   flags.AddInt("threads", &threads, "batch threads (0 = all hardware)");
   Status st = flags.Parse(argc, argv);
@@ -412,7 +389,6 @@ int CmdQuery(int argc, char** argv) {
   }
   PisOptions options;
   options.sigma = sigma;
-  options.sketch_enabled = sketch;
   if (batch) {
     if (sharded) {
       ShardedPisEngine pis_engine(&db.value(), &sharded_index.value(), options);

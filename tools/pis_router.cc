@@ -2,7 +2,7 @@
 // replicas.
 //
 //   pis_router --manifest cluster.json [--port P] [--workers N]
-//              [--sigma S] [--sketch] [--timeout_ms T]
+//              [--sigma S] [--timeout_ms T]
 //              [--breaker_threshold K] [--breaker_open_ms B]
 //              [--health_interval_ms H]
 //              [--slow_query_ms T] [--slow_query_log PATH]
@@ -21,9 +21,9 @@
 // owning shard with per-endpoint ordered catch-up for replicas that miss
 // them. "pis_router listening on port <P>" goes to stdout once serving.
 //
-// --sigma and --sketch must match the cluster's serving config (they
-// parameterize the global filter); --timeout_ms bounds every replica round
-// trip so a wedged replica degrades to failover, not a hang.
+// --sigma must match the cluster's serving config (it parameterizes the
+// global filter); --timeout_ms bounds every replica round trip so a wedged
+// replica degrades to failover, not a hang.
 //
 // Observability (docs/observability.md): {"op":"metrics"} renders the
 // fabric metrics (per-endpoint RPC latency, breaker state, catch-up depth,
@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   int port = 4870;
   int workers = 4;
   double sigma = 2.0;
-  bool sketch = false;
   int timeout_ms = 5000;
   int breaker_threshold = 3;
   int breaker_open_ms = 500;
@@ -73,9 +72,6 @@ int main(int argc, char** argv) {
   flags.AddInt("port", &port, "TCP port (0 = ephemeral)");
   flags.AddInt("workers", &workers, "concurrent connections served");
   flags.AddDouble("sigma", &sigma, "default max superimposed distance");
-  flags.AddBool("sketch", &sketch,
-                "run the superimposed-sketch prefilter on every query "
-                "(must match the shard servers' build)");
   flags.AddInt("timeout_ms", &timeout_ms,
                "per-replica round-trip deadline (0 = block forever)");
   flags.AddInt("breaker_threshold", &breaker_threshold,
@@ -114,7 +110,6 @@ int main(int argc, char** argv) {
   cluster_options.breaker_open_ms = breaker_open_ms;
   cluster_options.health_interval_ms = health_interval_ms;
   cluster_options.options.sigma = sigma;
-  cluster_options.options.sketch_enabled = sketch;
   // The process-global registry: fabric metrics (breakers, RPC latency,
   // catch-up) and the router's per-op request metrics in one exposition.
   cluster_options.metrics = &MetricsRegistry::Global();
